@@ -148,6 +148,18 @@ class ControlLoop:
             self.server = server
         return self
 
+    def detach(self) -> "ControlLoop":
+        """Drop the references to the steered facade and server.
+
+        The facade and server each hold their loop, so an attached loop
+        closes a reference cycle that only the cyclic garbage collector
+        frees.  Runners detach a finished run's loop, so the system it
+        steered is freed by reference counting once it is dropped.
+        """
+        self.system = None
+        self.server = None
+        return self
+
     # -- cadence ------------------------------------------------------------
     def maybe_tick(self, now: float, stats=None, queue_depth: int = 0) -> bool:
         """Fire one tick if the cadence is due; returns whether it fired.

@@ -4,9 +4,12 @@ Two interchangeable engines:
 
 * :class:`RLDecisionEngine` — wraps a trained LSTM policy; one greedy
   rollout per decision (milliseconds — the Fig. 18 fast path);
-* :class:`SearchDecisionEngine` — exhaustive check of seed architectures
-  x canonical plan templates; slower but training-free (useful as a
-  bootstrap and as an upper-bound reference in tests).
+* :class:`SearchDecisionEngine` — training-free search over seed
+  architectures x canonical plan templates (useful as a bootstrap and
+  as an upper-bound reference in tests).  The candidate table is
+  compiled once per engine and searched best-first, so a decision
+  prices only the candidates that could still win, yet returns the
+  strategy an exhaustive check of every candidate would.
 
 Both return a :class:`~repro.core.strategy.Strategy` or ``None`` when no
 checked strategy satisfies the SLO.
@@ -16,17 +19,20 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..devices.profiles import DeviceProfile
-from ..nas.accuracy_model import plan_accuracy_penalty
+from ..models.graph import ModelGraph
+from ..nas.accuracy_model import arch_accuracy, plan_accuracy_penalty
 from ..nas.arch import ArchConfig, max_arch, min_arch, random_arch
 from ..nas.evolution import candidate_plans
 from ..nas.graph_builder import build_graph
 from ..nas.search_space import SearchSpace
 from ..netsim.topology import Cluster, NetworkCondition
+from ..partition.plan import ExecutionPlan
 from ..partition.simulate import simulate_latency
 from ..rl.env import MurmurationEnv, Task
 from ..rl.policy import LSTMPolicy
@@ -91,8 +97,32 @@ class RLDecisionEngine:
         return best
 
 
+class _Candidate(NamedTuple):
+    """One compiled (arch, plan template) row of the search table."""
+
+    arch: ArchConfig
+    graph: ModelGraph
+    plan: ExecutionPlan
+    accuracy: float
+
+
 class SearchDecisionEngine:
-    """Brute-force over seed archs x plan templates."""
+    """Best-first search of a compiled seed-arch x plan-template table.
+
+    Graphs, plans and accuracies depend only on the architecture and the
+    device count, never on the network condition, so ``__init__``
+    compiles them once; plans are never mutated, so every decision
+    shares them.  Only latency depends on the condition, and
+    :meth:`decide` prices as few candidates as the SLO allows:
+
+    * **latency SLO** — candidates are walked by descending accuracy
+      (stable, so ties keep table order) and the first one within the
+      bound is returned: the most accurate feasible candidate, the
+      earliest among equals, which is exactly the exhaustive answer;
+    * **accuracy SLO** — candidates below the floor are skipped without
+      pricing; the rest are priced in table order and the strictly
+      fastest wins, again the exhaustive answer.
+    """
 
     def __init__(self, space: SearchSpace, devices: Sequence[DeviceProfile],
                  n_random_archs: int = 12, seed: int = 0):
@@ -101,27 +131,32 @@ class SearchDecisionEngine:
         rng = np.random.default_rng(seed)
         self.archs: List[ArchConfig] = [min_arch(space), max_arch(space)]
         self.archs += [random_arch(space, rng) for _ in range(n_random_archs)]
+        table: List[_Candidate] = []
+        for arch in self.archs:
+            graph = build_graph(arch, space)
+            base_acc = arch_accuracy(arch, space)
+            for plan in candidate_plans(graph, len(self.devices)):
+                table.append(_Candidate(
+                    arch, graph, plan, base_acc - plan_accuracy_penalty(plan)))
+        self._table: Tuple[_Candidate, ...] = tuple(table)
+        self._by_accuracy: Tuple[_Candidate, ...] = tuple(sorted(
+            table, key=attrgetter("accuracy"), reverse=True))
 
     def decide(self, slo: SLO, condition: NetworkCondition) -> DecisionRecord:
-        from ..nas.accuracy_model import arch_accuracy
-
         t0 = time.perf_counter()
         cluster = Cluster(self.devices, condition)
         best: Optional[Strategy] = None
-        for arch in self.archs:
-            graph = build_graph(arch, self.space)
-            base_acc = arch_accuracy(arch, self.space)
-            for plan in candidate_plans(graph, cluster):
-                rep = simulate_latency(graph, plan, cluster)
-                acc = base_acc - plan_accuracy_penalty(plan)
-                if not slo.satisfied_by(rep.total_s, acc):
+        if slo.kind == "latency":
+            for c in self._by_accuracy:
+                latency = simulate_latency(c.graph, c.plan, cluster).total_s
+                if latency <= slo.value:
+                    best = Strategy(c.arch, c.plan, latency, c.accuracy)
+                    break
+        else:
+            for c in self._table:
+                if c.accuracy < slo.value:
                     continue
-                if best is None:
-                    better = True
-                elif slo.kind == "latency":
-                    better = acc > best.expected_accuracy
-                else:
-                    better = rep.total_s < best.expected_latency_s
-                if better:
-                    best = Strategy(arch, plan, rep.total_s, acc)
+                latency = simulate_latency(c.graph, c.plan, cluster).total_s
+                if best is None or latency < best.expected_latency_s:
+                    best = Strategy(c.arch, c.plan, latency, c.accuracy)
         return DecisionRecord(best, time.perf_counter() - t0, "search")

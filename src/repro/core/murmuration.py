@@ -30,6 +30,7 @@ every latency bit-identical to a fault-free build.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
 
@@ -134,6 +135,16 @@ class BatchInferenceResult:
         return len(self.items)
 
 
+def _sync_cache_gauges(cache: StrategyCache, hits, misses, entries,
+                       hit_rate, evictions) -> None:
+    """Collect hook: copy the cache's counters into its gauges."""
+    hits.value = float(cache.hits)
+    misses.value = float(cache.misses)
+    entries.value = float(len(cache))
+    hit_rate.value = cache.hit_rate
+    evictions.value = float(cache.evictions)
+
+
 class Murmuration:
     """SLO-aware distributed inference runtime."""
 
@@ -163,6 +174,7 @@ class Murmuration:
         self.slo = slo
         self.cache = cache if cache is not None else StrategyCache()
         self.telemetry = telemetry
+        self._tracer = Telemetry.tracer_of(telemetry)
         #: optional RunRecorder capturing decisions for record/replay
         self.recorder = recorder
         self.monitor = NetworkMonitor(self.cluster, noise=monitor_noise,
@@ -239,8 +251,14 @@ class Murmuration:
                      "open-circuit devices")
             # decisions_total counters resolved once per engine string
             self._m_decisions: dict = {}
-            # snapshot gauges refresh at export time, not per request
-            reg.add_collect_hook(self._sync_cache_metrics)
+            # snapshot gauges refresh at export time, not per request;
+            # the hook holds the cache, not the facade, so exports stay
+            # fresh after the facade is dropped and the registry never
+            # keeps a finished facade alive
+            reg.add_collect_hook(functools.partial(
+                _sync_cache_gauges, self.cache, self._m_cache_hits,
+                self._m_cache_misses, self._m_cache_entries,
+                self._m_cache_hit_rate, self._m_cache_evictions))
 
     @property
     def _now(self) -> float:
@@ -406,14 +424,6 @@ class Murmuration:
             self.recorder.on_decision(self._now, "admission", 0.0, False)
         return record
 
-    def _sync_cache_metrics(self) -> None:
-        cache = self.cache
-        self._m_cache_hits.value = float(cache.hits)
-        self._m_cache_misses.value = float(cache.misses)
-        self._m_cache_entries.value = float(len(cache))
-        self._m_cache_hit_rate.value = cache.hit_rate
-        self._m_cache_evictions.value = float(cache.evictions)
-
     def precompute(self, conditions: Sequence[NetworkCondition]) -> int:
         """Warm the cache for forecast conditions (Sec. 5.1 fast path).
 
@@ -481,14 +491,13 @@ class Murmuration:
         if self.faults is not None:
             self.faults.advance(self._now)
             self.faults.apply_to(self.cluster, self._base_condition)
-        tracer = Telemetry.tracer_of(self.telemetry)
+        tracer = self._tracer
+        req_attrs = {} if request_id is None else {"request": request_id}
         with tracer.span("decision", sim_time=self._now) as sp:
             decision = (self._admission_decision() if degraded
                         else self.decide())
             sp.add_sim(decision.decision_time_s)
-            sp.annotate(engine=decision.engine)
-            if request_id is not None:
-                sp.annotate(request=request_id)
+            sp.annotate(engine=decision.engine, **req_attrs)
         if decision.strategy is None:
             raise RuntimeError(
                 "no strategy satisfies the SLO under current conditions")
@@ -510,9 +519,7 @@ class Murmuration:
                 sp.add_sim(switch_time)
         sim_t += switch_time
 
-        with tracer.span("execute", sim_time=sim_t) as sp:
-            if request_id is not None:
-                sp.annotate(request=request_id)
+        with tracer.span("execute", sim_time=sim_t, **req_attrs) as sp:
             if tenant is not None:
                 sp.annotate(tenant=tenant)
             if self.faults is None:
@@ -647,7 +654,7 @@ class Murmuration:
         if self.faults is not None:
             self.faults.advance(start)
             self.faults.apply_to(self.cluster, self._base_condition)
-        tracer = Telemetry.tracer_of(self.telemetry)
+        tracer = self._tracer
         with tracer.span("decision", sim_time=start) as sp:
             decision = (self._admission_decision() if degraded
                         else self.decide())

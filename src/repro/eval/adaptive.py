@@ -205,6 +205,8 @@ def run_adaptive(cfg: AdaptiveConfig = AdaptiveConfig(),
         stats = server.run(num_requests=cfg.num_requests,
                            condition_trace=trace,
                            trace_period_s=cfg.trace_period_s)
+        if control is not None:
+            control.detach()
         if rec is not None:
             if tel is not None:
                 rec.capture_timelines(tel.timelines)

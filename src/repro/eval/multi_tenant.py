@@ -296,6 +296,8 @@ def run_multi_tenant(cfg: MultiTenantConfig = MultiTenantConfig(),
                            condition_trace=trace,
                            trace_period_s=cfg.trace_period_s,
                            tenants=tenants)
+        if control is not None:
+            control.detach()
         if rec is not None:
             if tel is not None:
                 rec.capture_timelines(tel.timelines)

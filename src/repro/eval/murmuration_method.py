@@ -62,17 +62,21 @@ class MurmurationOracle:
         self.space = space
         self.devices = list(devices)
         self.archs = archs if archs is not None else lattice_archs(space)
-        # Pre-build graphs and accuracies once; plans depend on the
-        # cluster, so they are built per call.
+        # Graphs, plans and accuracies depend only on the arch and the
+        # device count, so they are built once; only latency is priced
+        # per call.
         self._graphs = [build_graph(a, space) for a in self.archs]
         self._accs = [arch_accuracy(a, space) for a in self.archs]
+        self._plans = [candidate_plans(g, len(self.devices))
+                       for g in self._graphs]
 
     def decide(self, slo: SLO, condition: NetworkCondition,
                ) -> Optional[Strategy]:
         cluster = Cluster(self.devices, condition)
         best: Optional[Strategy] = None
-        for arch, graph, base_acc in zip(self.archs, self._graphs, self._accs):
-            for plan in candidate_plans(graph, cluster):
+        for arch, graph, base_acc, plans in zip(
+                self.archs, self._graphs, self._accs, self._plans):
+            for plan in plans:
                 latency = simulate_latency(graph, plan, cluster).total_s
                 acc = base_acc - plan_accuracy_penalty(plan)
                 if not slo.satisfied_by(latency, acc):

@@ -55,13 +55,17 @@ class EvolutionResult:
     feasible: bool
 
 
-def candidate_plans(graph, cluster: Cluster,
+def candidate_plans(graph, num_devices: int,
                     bits_options: Sequence[int] = (32, 8)) -> List[ExecutionPlan]:
     """Plan templates a (non-RL) searcher considers for one submodel:
     local-only, all-remote per device, best layer splits, and spatial
-    grids over available devices."""
+    grids over available devices.
+
+    The templates depend only on the graph and ``num_devices``, never on
+    link conditions, so searchers may build them once and reuse them.
+    """
     plans: List[ExecutionPlan] = [single_device_plan(graph, 0)]
-    n = cluster.num_devices
+    n = num_devices
     for bits in bits_options:
         for remote in range(1, n):
             plans.append(layerwise_split_plan(graph, 0, remote=remote,
@@ -119,7 +123,7 @@ def _evaluate(arch: ArchConfig, space: SearchSpace, cluster: Cluster,
     base_acc = accuracy_fn(arch)
     best = (-np.inf, np.inf, None)
     evals = 0
-    for plan in candidate_plans(graph, cluster):
+    for plan in candidate_plans(graph, cluster.num_devices):
         rep = simulate_latency(graph, plan, cluster)
         evals += 1
         acc = base_acc - plan_accuracy_penalty(plan)

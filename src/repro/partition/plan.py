@@ -53,6 +53,8 @@ class BlockPlan:
 class ExecutionPlan:
     """Per-block plans for a whole model, plus the output device."""
 
+    __slots__ = ("block_plans", "output_device")
+
     def __init__(self, block_plans: Sequence[BlockPlan], output_device: int = 0):
         if not block_plans:
             raise ValueError("empty execution plan")
@@ -105,12 +107,19 @@ class ExecutionPlan:
 
 # ---------------------------------------------------------------------------
 # Canonical plan constructors
+#
+# Block plans are frozen and plans are never mutated, so a constructor
+# builds each distinct block plan once and repeats the instance: plan
+# tables compiled ahead of time stay small and cheap to build.
 # ---------------------------------------------------------------------------
+
+_G11 = Grid(1, 1)
+
 
 def single_device_plan(graph: ModelGraph, device: int = 0) -> ExecutionPlan:
     """Run everything on one device (the Fig. 1a baseline)."""
-    g11 = Grid(1, 1)
-    return ExecutionPlan([BlockPlan(g11, (device,)) for _ in graph],
+    bp = BlockPlan(_G11, (device,))
+    return ExecutionPlan([bp] * len(graph),
                          output_device=device if device == 0 else 0)
 
 
@@ -123,11 +132,9 @@ def layerwise_split_plan(graph: ModelGraph, split: int, local: int = 0,
     """
     if not (0 <= split <= len(graph)):
         raise ValueError(f"split {split} out of range for {len(graph)} blocks")
-    g11 = Grid(1, 1)
-    plans = []
-    for i in range(len(graph)):
-        dev = local if i < split else remote
-        plans.append(BlockPlan(g11, (dev,), bits=bits))
+    n = len(graph)
+    plans = [BlockPlan(_G11, (local,), bits=bits)] * split
+    plans += [BlockPlan(_G11, (remote,), bits=bits)] * (n - split)
     return ExecutionPlan(plans, output_device=0)
 
 
@@ -137,14 +144,12 @@ def spatial_plan(graph: ModelGraph, grid: Grid, devices: Sequence[int],
     ``devices``; fused / non-partitionable blocks run on ``aggregator``."""
     if len(devices) != grid.ntiles:
         raise ValueError(f"{grid} grid needs {grid.ntiles} devices")
-    g11 = Grid(1, 1)
-    plans = []
-    for block in graph:
-        if block.partitionable and not block.fused and grid.ntiles > 1:
-            plans.append(BlockPlan(grid, tuple(devices), bits=bits))
-        else:
-            plans.append(BlockPlan(g11, (aggregator,), bits=bits))
-    return ExecutionPlan(plans, output_device=0)
+    tiled = BlockPlan(grid, tuple(devices), bits=bits)
+    local = BlockPlan(_G11, (aggregator,), bits=bits)
+    split = grid.ntiles > 1
+    return ExecutionPlan(
+        [tiled if split and block.partitionable and not block.fused
+         else local for block in graph], output_device=0)
 
 
 def spatial_front_plan(graph: ModelGraph, grid: Grid,
@@ -160,16 +165,13 @@ def spatial_front_plan(graph: ModelGraph, grid: Grid,
     """
     if len(devices) != grid.ntiles:
         raise ValueError(f"{grid} grid needs {grid.ntiles} devices")
-    g11 = Grid(1, 1)
-    plans = []
-    for block in graph:
-        front = (block.partitionable and not block.fused
-                 and min(block.out_hw) >= min_hw and grid.ntiles > 1)
-        if front:
-            plans.append(BlockPlan(grid, tuple(devices), bits=bits))
-        else:
-            plans.append(BlockPlan(g11, (aggregator,), bits=bits))
-    return ExecutionPlan(plans, output_device=0)
+    tiled = BlockPlan(grid, tuple(devices), bits=bits)
+    local = BlockPlan(_G11, (aggregator,), bits=bits)
+    split = grid.ntiles > 1
+    return ExecutionPlan(
+        [tiled if (split and block.partitionable and not block.fused
+                   and min(block.out_hw) >= min_hw)
+         else local for block in graph], output_device=0)
 
 
 def greedy_spatial_plan(graph: ModelGraph, devices: Sequence[int],
@@ -190,13 +192,14 @@ def greedy_spatial_plan(graph: ModelGraph, devices: Sequence[int],
     if grids is None:
         grids = [Grid(1, 1), Grid(1, 2), Grid(2, 2), Grid(2, 3), Grid(3, 3)]
     usable = [g for g in grids if g.ntiles <= len(devices)]
-    g11 = Grid(1, 1)
+    local = BlockPlan(_G11, (aggregator,), bits=bits)
+    on_grid = {}
     plans = []
     for block in graph:
         if block.fused or not block.partitionable:
-            plans.append(BlockPlan(g11, (aggregator,), bits=bits))
+            plans.append(local)
             continue
-        best_grid, best_cost = g11, 1.0
+        best_grid, best_cost = _G11, 1.0
         for g in usable:
             h, w = block.out_hw
             if h < 2 * g.rows or w < 2 * g.cols:
@@ -205,6 +208,9 @@ def greedy_spatial_plan(graph: ModelGraph, devices: Sequence[int],
                                          halo=block.halo) / g.ntiles
             if cost < best_cost - 1e-9:
                 best_grid, best_cost = g, cost
-        plans.append(BlockPlan(best_grid, tuple(devices[:best_grid.ntiles]),
-                               bits=bits))
+        bp = on_grid.get(best_grid)
+        if bp is None:
+            bp = on_grid[best_grid] = BlockPlan(
+                best_grid, tuple(devices[:best_grid.ntiles]), bits=bits)
+        plans.append(bp)
     return ExecutionPlan(plans, output_device=0)

@@ -300,8 +300,7 @@ class BatchingInferenceServer(InferenceServer):
                 tenant = self._tenant_of(tenants, i + m)
                 with tracer.span("request", sim_time=arrival,
                                  request=i + m) as root:
-                    with tracer.span("queue", sim_time=arrival) as qs:
-                        qs.set_sim_end(d_start)
+                    tracer.mark("queue", arrival, d_start)
                     root.set_sim_end(res.item_finish_s[m])
                     root.annotate(satisfied=record.satisfied,
                                   cache_hit=record.cache_hit, batch=k)

@@ -12,6 +12,7 @@ accuracy one once queueing delay is counted.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -194,6 +195,13 @@ class ServingStats:
         return base
 
 
+def _sync_compliance(compliance, satisfied, requests) -> None:
+    """Collect hook: running SLO compliance from the request counters."""
+    total = requests.value
+    if total:
+        compliance.value = satisfied.value / total
+
+
 class InferenceServer:
     """Poisson arrivals -> FIFO queue -> per-request adaptation."""
 
@@ -263,13 +271,12 @@ class InferenceServer:
             # per-tenant counters resolved once per (metric, tenant)
             self._m_tenants: dict = {}
             self._reg = reg
-            # snapshot gauge: refreshed at export time, not per request
-            reg.add_collect_hook(self._sync_compliance)
-
-    def _sync_compliance(self) -> None:
-        total = self._m_requests.value
-        if total:
-            self._m_compliance.value = self._m_satisfied.value / total
+            # snapshot gauge: refreshed at export time, not per request;
+            # the hook holds only the instruments, so the registry never
+            # keeps a finished server alive
+            reg.add_collect_hook(functools.partial(
+                _sync_compliance, self._m_compliance, self._m_satisfied,
+                self._m_requests))
 
     def _apply_trace(self, condition_trace, trace_period_s: float,
                      start: float) -> None:
@@ -428,8 +435,7 @@ class InferenceServer:
                 self.events.advance_to(start)
             with tracer.span("request", sim_time=arrival,
                              request=i) as root:
-                with tracer.span("queue", sim_time=arrival) as qs:
-                    qs.set_sim_end(start)
+                tracer.mark("queue", arrival, start)
                 record: "InferenceRecord" = self.system.infer(
                     now=start, request_id=i,
                     degraded=(verdict == "degrade"), tenant=tenant)

@@ -29,6 +29,9 @@ __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
 
 LabelItems = Tuple[Tuple[str, str], ...]
 
+#: histogram observations queued before they are folded into buckets
+_FOLD_EVERY = 64
+
 
 class Metric:
     """Common identity for every instrument: name + labels + help."""
@@ -101,11 +104,19 @@ class Histogram(Metric):
     back as the observed maximum.  Quantile answers are exact to one
     bucket's relative width (default 10 %), using the exact running
     min/max as clamps.
+
+    :meth:`observe` only queues the value.  Every ``_FOLD_EVERY``
+    values, and before any read (count, sum, min, max, quantiles), the
+    queue is folded into the statistics in one pass.  The request path
+    then touches a short list instead of the statistics and a bucket
+    array scattered in memory, memory stays fixed, and the fold makes
+    the same float operations in the same order as updating on each
+    observation, so every statistic is bit-identical to that.
     """
 
     kind = "histogram"
     __slots__ = ("lo", "hi", "_log_growth", "_counts", "_nb",
-                 "count", "sum", "min", "max")
+                 "_count", "_sum", "_min", "_max", "_pending")
 
     def __init__(self, name: str, labels: LabelItems = (), help: str = "",
                  lo: float = 1e-6, hi: float = 1e5, growth: float = 1.1):
@@ -119,29 +130,69 @@ class Histogram(Metric):
         # [underflow] [b_0 .. b_{nb-1}] [overflow]
         self._counts = [0] * (nb + 2)
         self._nb = nb
-        self.count = 0
-        self.sum = 0.0
-        self.min = math.inf
-        self.max = -math.inf
+        self._count = 0
+        self._sum = 0.0
+        self._min = math.inf
+        self._max = -math.inf
+        self._pending: List[float] = []
 
     def observe(self, value: float) -> None:
         v = float(value)
-        self.count += 1
-        self.sum += v
-        if v < self.min:
-            self.min = v
-        if v > self.max:
-            self.max = v
-        lo = self.lo
-        if v < lo:
-            idx = 0
-        elif v >= self.hi:
-            idx = self._nb + 1
-        else:
-            idx = 1 + int(math.log(v / lo) / self._log_growth)
-            if idx > self._nb:  # guard float edge cases
-                idx = self._nb
-        self._counts[idx] += 1
+        if v != v:
+            raise ValueError("cannot observe NaN")
+        pending = self._pending
+        pending.append(v)
+        if len(pending) >= _FOLD_EVERY:
+            self._fold()
+
+    def _fold(self) -> None:
+        """Fold the queued observations, in arrival order."""
+        pending = self._pending
+        lo, hi, nb = self.lo, self.hi, self._nb
+        log_growth = self._log_growth
+        counts = self._counts
+        total, vmin, vmax = self._sum, self._min, self._max
+        for v in pending:
+            total += v
+            if v < vmin:
+                vmin = v
+            if v > vmax:
+                vmax = v
+            if v < lo:
+                counts[0] += 1
+            elif v < hi:
+                idx = 1 + int(math.log(v / lo) / log_growth)
+                # the clamp guards float edge cases at the top bucket
+                counts[idx if idx <= nb else nb] += 1
+            else:
+                counts[nb + 1] += 1
+        self._count += len(pending)
+        self._sum, self._min, self._max = total, vmin, vmax
+        pending.clear()
+
+    @property
+    def count(self) -> int:
+        if self._pending:
+            self._fold()
+        return self._count
+
+    @property
+    def sum(self) -> float:
+        if self._pending:
+            self._fold()
+        return self._sum
+
+    @property
+    def min(self) -> float:
+        if self._pending:
+            self._fold()
+        return self._min
+
+    @property
+    def max(self) -> float:
+        if self._pending:
+            self._fold()
+        return self._max
 
     @property
     def mean(self) -> float:
@@ -155,18 +206,19 @@ class Histogram(Metric):
         """Streaming quantile estimate, ``q`` in [0, 1]."""
         if not (0.0 <= q <= 1.0):
             raise ValueError(f"quantile must be in [0, 1], got {q}")
-        if self.count == 0:
+        count = self.count  # folds queued observations
+        if count == 0:
             return 0.0
-        rank = q * (self.count - 1) + 1  # 1-based rank, nearest-rank style
+        rank = q * (count - 1) + 1  # 1-based rank, nearest-rank style
         cum = self._counts[0]
         if cum >= rank:
-            return max(0.0, min(self.min, self.lo))
+            return max(0.0, min(self._min, self.lo))
         for i in range(self._nb):
             cum += self._counts[1 + i]
             if cum >= rank:
                 est = self._bucket_upper(i)
-                return min(max(est, self.min), self.max)
-        return self.max
+                return min(max(est, self._min), self._max)
+        return self._max
 
     def quantiles(self, qs: Iterable[float] = (0.5, 0.95, 0.99),
                   ) -> Dict[float, float]:
@@ -202,7 +254,14 @@ class MetricsRegistry:
                                store=self._store, hooks=self._hooks)
 
     def add_collect_hook(self, hook) -> None:
-        """Register a zero-arg callable run before every collect()."""
+        """Register a zero-arg callable run before every collect().
+
+        The registry keeps the hook for its whole life, so a hook should
+        hold only what it reads (the instruments and their data source),
+        not the component that registers it: a bound method of an object
+        that holds this registry makes a cycle only a full garbage
+        collection frees.
+        """
         self._hooks.append(hook)
 
     def _instrument(self, cls, name: str, help: str,

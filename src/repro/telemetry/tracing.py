@@ -29,26 +29,21 @@ from typing import Any, Dict, List, Optional
 __all__ = ["Span", "Tracer", "NullTracer", "NULL_TRACER"]
 
 _wall = time.perf_counter
+_new_span = object.__new__
 
 
 class Span:
-    """One timed operation; may contain child spans."""
+    """One timed operation; may contain child spans.
+
+    Spans are opened by :meth:`Tracer.span`, their only constructor: it
+    runs for every span of every request, so it fills the slots itself
+    in one call rather than going through an ``__init__``.
+    ``children`` stays an empty tuple until the first child opens, so
+    the leaves of a request's tree allocate no list.
+    """
 
     __slots__ = ("name", "attrs", "sim_start", "sim_end",
                  "wall_start", "wall_end", "children", "_tracer", "_root")
-
-    def __init__(self, name: str, sim_time: Optional[float] = None,
-                 attrs: Optional[Dict[str, Any]] = None,
-                 tracer: Optional["Tracer"] = None, root: bool = True):
-        self.name = name
-        self.attrs: Dict[str, Any] = attrs if attrs is not None else {}
-        self.sim_start = sim_time
-        self.sim_end: Optional[float] = None
-        self.wall_start = _wall()
-        self.wall_end: Optional[float] = None
-        self.children: List["Span"] = []
-        self._tracer = tracer
-        self._root = root
 
     # -- annotation -------------------------------------------------------
     def annotate(self, **attrs: Any) -> "Span":
@@ -60,11 +55,11 @@ class Span:
 
     def add_sim(self, duration_s: float) -> None:
         """Extend the span's simulated interval by ``duration_s``."""
-        base = self.sim_end if self.sim_end is not None else (
-            self.sim_start if self.sim_start is not None else 0.0)
-        if self.sim_start is None:
-            self.sim_start = 0.0
-        self.sim_end = base + float(duration_s)
+        start = self.sim_start
+        if start is None:
+            start = self.sim_start = 0.0
+        end = self.sim_end
+        self.sim_end = (start if end is None else end) + float(duration_s)
 
     # -- durations --------------------------------------------------------
     @property
@@ -86,8 +81,18 @@ class Span:
         self.wall_end = _wall()
         if exc_type is not None:
             self.attrs.setdefault("error", exc_type.__name__)
-        if self._tracer is not None:
-            self._tracer._finish(self)
+        tracer = self._tracer
+        if tracer is not None:
+            # a closed span drops its tracer: the tracer keeps finished
+            # roots, and the back-reference would make a cycle
+            self._tracer = None
+            stack = tracer._stack
+            if stack and stack[-1] is self:  # the usual innermost close
+                stack.pop()
+                if self._root:
+                    tracer._retain(self)
+            else:
+                tracer._finish(self)
         return False
 
     # -- export ------------------------------------------------------------
@@ -119,6 +124,8 @@ class Tracer:
     """
 
     enabled = True
+    __slots__ = ("max_finished", "finished", "dropped", "_stack",
+                 "__weakref__")
 
     def __init__(self, max_finished: int = 10000):
         if max_finished < 1:
@@ -130,12 +137,43 @@ class Tracer:
 
     def span(self, name: str, sim_time: Optional[float] = None,
              **attrs: Any) -> Span:
+        sp = _new_span(Span)
+        sp.name = name
+        sp.attrs = attrs
+        sp.sim_start = sim_time
+        sp.sim_end = None
+        sp.wall_end = None
+        sp.children = ()
+        sp._tracer = self
         stack = self._stack
-        sp = Span(name, sim_time=sim_time, attrs=attrs, tracer=self,
-                  root=not stack)
         if stack:
-            stack[-1].children.append(sp)
+            sp._root = False
+            parent = stack[-1]
+            if parent.children:
+                parent.children.append(sp)
+            else:
+                parent.children = [sp]
+        else:
+            sp._root = True
         stack.append(sp)
+        sp.wall_start = _wall()
+        return sp
+
+    def mark(self, name: str, sim_start: float, sim_end: float) -> Span:
+        """Record a closed span over ``[sim_start, sim_end]`` of simulated
+        time, with no wall-clock extent.
+
+        For phases in which this process does no work, such as a queue
+        wait: one call instead of an empty ``with`` block, so the span
+        costs one open and one close and no clock read on the way out.
+        """
+        sp = self.span(name, sim_start)
+        sp.sim_end = float(sim_end)
+        sp.wall_end = sp.wall_start
+        sp._tracer = None
+        self._stack.pop()  # just opened: it is the innermost span
+        if sp._root:
+            self._retain(sp)
         return sp
 
     def _finish(self, span: Span) -> None:
@@ -144,11 +182,15 @@ class Tracer:
             if self._stack.pop() is span:
                 break
         if span._root:
-            self.finished.append(span)
-            excess = len(self.finished) - self.max_finished
-            if excess > 0:
-                del self.finished[:excess]
-                self.dropped += excess
+            self._retain(span)
+
+    def _retain(self, root: Span) -> None:
+        finished = self.finished
+        finished.append(root)
+        excess = len(finished) - self.max_finished
+        if excess > 0:
+            del finished[:excess]
+            self.dropped += excess
 
     @property
     def active(self) -> Optional[Span]:
@@ -198,6 +240,10 @@ class NullTracer:
 
     def span(self, name: str, sim_time: Optional[float] = None,
              **attrs: Any) -> _NullSpan:
+        return _SHARED_NULL_SPAN
+
+    def mark(self, name: str, sim_start: float,
+             sim_end: float) -> _NullSpan:
         return _SHARED_NULL_SPAN
 
     @property

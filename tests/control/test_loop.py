@@ -145,6 +145,11 @@ class TestCadence:
         loop.attach()  # no-arg attach must not detach anything
         assert loop.system is system and loop.server == "srv"
 
+    def test_detach_drops_system_and_server(self):
+        loop = ControlLoop([]).attach(system=_FakeSystem(), server="srv")
+        assert loop.detach() is loop
+        assert loop.system is None and loop.server is None
+
 
 class TestSnapshot:
     def test_window_deltas_cover_interval_since_last_tick(self):

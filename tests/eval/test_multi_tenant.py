@@ -1,15 +1,19 @@
 """Multi-tenant scenario: stream determinism, tenant threading, and
 record/replay round trips (scenario name ``multi_tenant``)."""
 
+import gc
 import io
+import weakref
 
 import numpy as np
 import pytest
 
+import repro.eval.multi_tenant as multi_tenant_module
 from repro.eval.multi_tenant import (MultiTenantConfig, TenantSpec,
                                      default_tenants, run_multi_tenant,
                                      tenant_arrivals)
 from repro.eval.replay import replay_stats, rerecord, verify_invariants
+from repro.telemetry import Telemetry, prometheus_text
 from repro.telemetry.recorder import read_recordings, write_recordings
 
 _CFG = MultiTenantConfig(num_requests=60, trace_steps=60)
@@ -80,6 +84,43 @@ class TestScenario:
     def test_fifo_has_no_control_and_sheds_nothing(self, reports):
         assert reports["fifo"].control is None
         assert reports["fifo"].shed == 0
+
+    def test_finished_systems_are_freed_by_refcount(self, monkeypatch):
+        """The control loops detach after their run, so no variant's
+        system waits for the cyclic garbage collector."""
+        systems = []
+        make = multi_tenant_module._make_system
+
+        def tracked(*args, **kwargs):
+            system = make(*args, **kwargs)
+            systems.append(weakref.ref(system))
+            return system
+
+        monkeypatch.setattr(multi_tenant_module, "_make_system", tracked)
+        gc.collect()
+        gc.disable()
+        try:
+            reports = run_multi_tenant(
+                MultiTenantConfig(num_requests=12, trace_steps=12))
+            assert reports["fair"].control.system is None
+            del reports
+            assert len(systems) == 3
+            assert all(ref() is None for ref in systems)
+        finally:
+            gc.enable()
+
+    def test_exports_after_the_run_see_fresh_snapshot_gauges(self):
+        """The instrumented variant's system is gone once the runner
+        returns; its collect hooks still refresh the snapshot gauges."""
+        tel = Telemetry()
+        # a short trace repeats conditions, so the cache gets hits
+        run_multi_tenant(MultiTenantConfig(num_requests=24, trace_steps=4),
+                         telemetry=tel)
+        exported = dict(line.rsplit(" ", 1)
+                        for line in prometheus_text(tel.registry).splitlines()
+                        if not line.startswith("#"))
+        assert float(exported["core_cache_hits"]) > 0.0
+        assert float(exported["server_slo_compliance"]) > 0.0
 
     def test_contention_is_observed(self, reports):
         for rep in reports.values():

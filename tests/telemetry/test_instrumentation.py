@@ -7,6 +7,9 @@ guarantees: a shared hub sees everything, and ``telemetry=None`` leaves
 behavior bit-identical.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -59,6 +62,29 @@ class TestServerInstrumentation:
         for tl, rec in zip(tel.timelines, stats.records):
             assert tl.total_s == pytest.approx(rec.end_to_end_s)
             assert tl.arrival_s == pytest.approx(rec.arrival)
+
+    def test_finished_system_is_freed_by_refcount(self):
+        """Collect hooks must not tie the system to its registry in a
+        cycle: dropping the last references frees the system at once,
+        with no help from the cyclic garbage collector."""
+        tel = Telemetry()
+        system = _system(tel)
+        server = InferenceServer(system, arrival_rate_hz=4.0, seed=1,
+                                 telemetry=tel)
+        server.run(num_requests=4)
+        ref = weakref.ref(system)
+        gc.collect()
+        gc.disable()
+        try:
+            del system, server
+            assert ref() is None
+        finally:
+            gc.enable()
+        # the hooks outlive their owners and still refresh the gauges
+        tel.registry.collect()
+        assert tel.registry.get("server_slo_compliance").value > 0.0
+        assert (tel.registry.get("core_cache_hits").value
+                + tel.registry.get("core_cache_misses").value) == 4.0
 
 
 class TestFacadeInstrumentation:

@@ -3,8 +3,39 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.telemetry import Counter, Gauge, Histogram, MetricsRegistry
+
+
+class _EagerHistogram:
+    """Reference: update every statistic on each observation."""
+
+    def __init__(self, lo=1e-6, hi=1e5, growth=1.1):
+        self.lo, self.hi = lo, hi
+        self.log_growth = math.log(growth)
+        self.nb = int(math.ceil(math.log(hi / lo) / self.log_growth))
+        self.counts = [0] * (self.nb + 2)
+        self.count, self.sum = 0, 0.0
+        self.min, self.max = math.inf, -math.inf
+
+    def observe(self, value):
+        v = float(value)
+        self.count += 1
+        self.sum += v
+        if v < self.min:
+            self.min = v
+        if v > self.max:
+            self.max = v
+        if v < self.lo:
+            idx = 0
+        elif v >= self.hi:
+            idx = self.nb + 1
+        else:
+            idx = min(1 + int(math.log(v / self.lo) / self.log_growth),
+                      self.nb)
+        self.counts[idx] += 1
 
 
 class TestCounter:
@@ -92,6 +123,45 @@ class TestHistogram:
         for i in range(10000):
             h.observe(1e-5 * (1 + i))
         assert len(h._counts) == nb
+
+    def test_queued_observations_stay_bounded(self):
+        h = Histogram("lat_s")
+        for i in range(1000):
+            h.observe(1e-3 * i)
+            assert len(h._pending) < 64
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.one_of(
+        st.floats(allow_nan=False),
+        st.sampled_from([0.0, -0.0, 1e-6, 1e5, math.inf, -math.inf]),
+        st.floats(min_value=1e-7, max_value=2e5)), max_size=300),
+        reads=st.sets(st.integers(0, 300), max_size=4),
+        bounds=st.sampled_from([(1e-6, 1e5, 1.1), (1e-3, 10.0, 1.5)]))
+    def test_queued_folds_are_bit_identical_to_eager_updates(
+            self, values, reads, bounds):
+        """Folding queued values (at any read points) gives exactly the
+        statistics of updating on every observation."""
+        lo, hi, growth = bounds
+        h = Histogram("x", lo=lo, hi=hi, growth=growth)
+        ref = _EagerHistogram(lo, hi, growth)
+        for i, v in enumerate(values):
+            h.observe(v)
+            ref.observe(v)
+            if i in reads:
+                assert h.count == ref.count
+        assert h.count == ref.count
+        assert h._counts == ref.counts
+        for got, want in ((h.sum, ref.sum), (h.min, ref.min),
+                          (h.max, ref.max)):
+            assert math.copysign(1.0, got) == math.copysign(1.0, want)
+            assert got == want or (math.isnan(got) and math.isnan(want))
+
+    def test_nan_is_rejected_without_touching_the_statistics(self):
+        h = Histogram("x")
+        h.observe(0.5)
+        with pytest.raises(ValueError):
+            h.observe(math.nan)
+        assert (h.count, h.sum) == (1, 0.5)
 
     def test_invalid_bounds(self):
         with pytest.raises(ValueError):

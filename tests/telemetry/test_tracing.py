@@ -1,5 +1,8 @@
 """Dual-clock spans, nesting, and the no-op tracer."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.telemetry import NULL_TRACER, NullTracer, Tracer
@@ -60,6 +63,41 @@ class TestNesting:
             with tracer.span("inner"):
                 pass
         assert [sp.name for sp in tracer.finished] == ["request"]
+
+    def test_tracer_with_finished_spans_is_freed_by_refcount(self):
+        """Closed spans drop their tracer, so a tracer and the roots it
+        keeps form no cycle."""
+        tracer = Tracer()
+        with tracer.span("request"):
+            with tracer.span("inner"):
+                pass
+        ref = weakref.ref(tracer)
+        gc.collect()
+        gc.disable()
+        try:
+            del tracer
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_mark_records_a_closed_simulated_only_child(self):
+        tracer = Tracer()
+        with tracer.span("request", sim_time=1.0) as root:
+            q = tracer.mark("queue", 1.0, 1.25)
+            assert tracer.active is root
+            with tracer.span("decision"):
+                pass
+        assert [c.name for c in root.children] == ["queue", "decision"]
+        assert q.sim_start == 1.0 and q.sim_end == 1.25
+        assert q.sim_duration_s == pytest.approx(0.25)
+        assert q.wall_duration_s == 0.0
+        assert tracer.finished == [root]
+
+    def test_mark_without_an_open_span_is_a_finished_root(self):
+        tracer = Tracer()
+        q = tracer.mark("queue", 0.0, 2.0)
+        assert tracer.finished == [q] and tracer.active is None
+        assert q.to_dict()["sim_duration_s"] == 2.0
 
     def test_active_tracks_the_stack(self):
         tracer = Tracer()
@@ -136,6 +174,7 @@ class TestNullTracer:
             sp.set_sim_end(2.0)
         assert sp.sim_duration_s == 0.0
         assert sp.wall_duration_s == 0.0
+        assert NULL_TRACER.mark("q", 0.0, 1.0) is _SHARED_NULL_SPAN
         assert NULL_TRACER.finished == []
         assert NULL_TRACER.active is None
 
